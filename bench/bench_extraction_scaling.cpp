@@ -4,39 +4,70 @@
 // enumeration together.
 
 #include "circuits/vco.h"
+#include "extract/extractor.h"
 #include "layout/cellgen.h"
 #include "lift/extract_faults.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <vector>
 
 using namespace catlift;
 
 namespace {
 
+/// Repeats per timing; the median keeps one descheduled call out of it.
+constexpr int kReps = 11;
+
+/// Median wall time of `reps` calls of `fn`, in milliseconds.
+template <typename Fn>
+double median_ms(int reps, Fn&& fn) {
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::sort(ms.begin(), ms.end());
+    return ms[ms.size() / 2];
+}
+
 void print_scaling() {
     std::printf("== LIFT scaling over inverter-chain layouts ==\n\n");
-    std::printf("  %-8s %-8s %-8s %-10s %-8s %s\n", "stages", "shapes",
-                "nets", "sites", "faults", "lift [ms]");
+    std::printf("  %-8s %-8s %-8s %-10s %-8s %-13s %-13s %s\n", "stages",
+                "shapes", "nets", "sites", "faults", "extract [ms]",
+                "lift self [ms]", "lift [ms]");
     const auto tech = layout::Technology::single_poly_double_metal();
-    for (int n : {4, 8, 16, 32, 64}) {
+    std::map<int, std::array<double, 3>> t;  // stages -> extract, self, lift
+    for (int n : {4, 8, 16, 32, 64, 128, 256}) {
         const auto ckt = circuits::build_inverter_chain(n, false);
         const auto lo = layout::generate_cell_layout(ckt);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto res = lift::extract_faults(lo, tech, lift::LiftOptions{});
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        std::printf("  %-8d %-8zu %-8zu %-10zu %-8zu %.1f\n", n, lo.size(),
-                    res.extraction.net_names.size(),
+        lift::LiftResult res;
+        const double ext_ms = median_ms(kReps, [&] {
+            benchmark::DoNotOptimize(extract::extract(lo, tech));
+        });
+        const double lift_ms = median_ms(kReps, [&] {
+            res = lift::extract_faults(lo, tech, lift::LiftOptions{});
+        });
+        t[n] = {ext_ms, lift_ms - ext_ms, lift_ms};
+        std::printf("  %-8d %-8zu %-8zu %-10zu %-8zu %-13.2f %-13.2f %.2f\n",
+                    n, lo.size(), res.extraction.net_names.size(),
                     res.stats.bridge_sites + res.stats.open_sites +
                         res.stats.cut_sites,
-                    res.faults.size(), ms);
+                    res.faults.size(), ext_ms, lift_ms - ext_ms, lift_ms);
     }
-    std::printf("\n");
+    // 4x the stages: 4.0 is linear, 16.0 quadratic.
+    std::printf("\n  256/64 time ratio: extract %.2f, lift self %.2f, "
+                "lift %.2f\n\n",
+                t[256][0] / t[64][0], t[256][1] / t[64][1],
+                t[256][2] / t[64][2]);
 }
 
 void BM_LiftChain(benchmark::State& state) {
@@ -54,6 +85,7 @@ BENCHMARK(BM_LiftChain)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 

@@ -45,6 +45,10 @@ struct GateRegion {
     std::string owner;       ///< provenance of the channel diffusion
 };
 
+/// Grid pitch of the extraction's spatial indices: a few typical device
+/// pitches, so a lookup window touches a handful of cells.
+constexpr geom::Coord kIndexCell = 20 * 1000;
+
 std::string owner_device(const std::string& owner) {
     const auto colon = owner.find(':');
     return colon == std::string::npos ? owner : owner.substr(0, colon);
@@ -79,12 +83,19 @@ Extraction extract(const Layout& lo, const Technology& tech,
                    const ExtractOptions& opt) {
     Extraction ex;
 
+    // Every geometric lookup below goes through a spatial index whose
+    // queries return candidate ids in ascending order: the candidate order
+    // of the old all-pairs scans, which fixes gate order, cluster
+    // representatives and terminal assignment.
+
     // ---- 1. Gate regions -------------------------------------------------
     std::vector<GateRegion> gates;
-    const auto poly_ids = lo.on_layer(Layer::Poly);
+    geom::SpatialIndex poly_idx(kIndexCell);
+    for (std::size_t pi : lo.on_layer(Layer::Poly))
+        poly_idx.insert(pi, lo.shapes[pi].rect);
     for (Layer diff : {Layer::NDiff, Layer::PDiff}) {
         for (std::size_t di : lo.on_layer(diff)) {
-            for (std::size_t pi : poly_ids) {
+            for (std::size_t pi : poly_idx.query(lo.shapes[di].rect)) {
                 const auto ov =
                     geom::intersection(lo.shapes[di].rect, lo.shapes[pi].rect);
                 if (!ov || ov->empty()) continue;
@@ -95,13 +106,17 @@ Extraction extract(const Layout& lo, const Technology& tech,
     }
 
     // ---- 2. Fragmentation -------------------------------------------------
+    geom::SpatialIndex gate_idx(kIndexCell);
+    for (std::size_t gi = 0; gi < gates.size(); ++gi)
+        gate_idx.insert(gi, gates[gi].rect);
     for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
         const layout::Shape& s = lo.shapes[si];
         if (!layout::is_conducting(s.layer)) continue;
         if (s.layer == Layer::NDiff || s.layer == Layer::PDiff) {
             // Clip the gate areas out of the diffusion.
             std::vector<Rect> parts{s.rect};
-            for (const GateRegion& g : gates) {
+            for (std::size_t gi : gate_idx.query(s.rect)) {
+                const GateRegion& g = gates[gi];
                 if (!g.rect.overlaps(s.rect)) continue;
                 std::vector<Rect> next;
                 for (const Rect& p : parts) {
@@ -119,25 +134,27 @@ Extraction extract(const Layout& lo, const Technology& tech,
 
     // ---- 3. Connectivity ---------------------------------------------------
     UnionFind uf(ex.fragments.size());
+    std::vector<geom::SpatialIndex> frag_idx(layout::kLayerCount,
+                                             geom::SpatialIndex(kIndexCell));
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i)
+        frag_idx[static_cast<std::size_t>(ex.fragments[i].layer)].insert(
+            i, ex.fragments[i].rect);
+    // Ascending ids of the fragments on `layers` whose rects touch `r`.
+    auto near = [&](const Rect& r, std::initializer_list<Layer> layers) {
+        std::vector<std::size_t> out;
+        for (Layer l : layers) {
+            const auto ids = frag_idx[static_cast<std::size_t>(l)].query(r);
+            out.insert(out.end(), ids.begin(), ids.end());
+        }
+        if (layers.size() > 1) std::sort(out.begin(), out.end());
+        return out;
+    };
 
     // Same-layer touching fragments.
-    for (int li = 0; li < static_cast<int>(layout::kLayerCount); ++li) {
-        const Layer layer = static_cast<Layer>(li);
-        if (!layout::is_conducting(layer)) continue;
-        std::vector<std::size_t> ids;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i)
-            if (ex.fragments[i].layer == layer) ids.push_back(i);
-        if (ids.empty()) continue;
-        geom::SpatialIndex idx(20 * 1000);
-        for (std::size_t i : ids) idx.insert(i, ex.fragments[i].rect);
-        for (std::size_t i : ids) {
-            for (std::size_t j : idx.neighbours(ex.fragments[i].rect, 0)) {
-                if (j <= i) continue;
-                if (ex.fragments[j].layer != layer) continue;
-                if (ex.fragments[i].rect.touches(ex.fragments[j].rect))
-                    uf.unite(i, j);
-            }
-        }
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+        const Fragment& fi = ex.fragments[i];
+        for (std::size_t j : near(fi.rect, {fi.layer}))
+            if (j > i && fi.rect.touches(ex.fragments[j].rect)) uf.unite(i, j);
     }
 
     // Cut stitches (and cluster bookkeeping).
@@ -151,11 +168,8 @@ Extraction extract(const Layout& lo, const Technology& tech,
     auto frag_on = [&](const Rect& r, std::initializer_list<Layer> layers)
         -> std::vector<std::size_t> {
         std::vector<std::size_t> out;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            for (Layer l : layers)
-                if (f.layer == l && f.rect.overlaps(r)) out.push_back(i);
-        }
+        for (std::size_t i : near(r, layers))
+            if (ex.fragments[i].rect.overlaps(r)) out.push_back(i);
         return out;
     };
     for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
@@ -205,8 +219,10 @@ Extraction extract(const Layout& lo, const Technology& tech,
     ex.net_names.assign(root_to_net.size(), "");
     for (const layout::Label& lb : lo.labels) {
         bool hit = false;
-        for (const Fragment& f : ex.fragments) {
-            if (f.layer != lb.layer || !f.rect.contains(lb.at)) continue;
+        for (std::size_t i :
+             near(Rect(lb.at.x, lb.at.y, lb.at.x, lb.at.y), {lb.layer})) {
+            const Fragment& f = ex.fragments[i];
+            if (!f.rect.contains(lb.at)) continue;
             std::string& name =
                 ex.net_names[static_cast<std::size_t>(f.net)];
             require(name.empty() || name == lb.text,
@@ -238,8 +254,13 @@ Extraction extract(const Layout& lo, const Technology& tech,
     {
         constexpr geom::Coord kClusterDist = 6 * 1000;  // 6 um
         UnionFind cuf(raw_cuts.size());
+        geom::SpatialIndex cut_idx(kIndexCell);
+        for (std::size_t i = 0; i < raw_cuts.size(); ++i)
+            cut_idx.insert(i, lo.shapes[raw_cuts[i].shape].rect);
         for (std::size_t i = 0; i < raw_cuts.size(); ++i) {
-            for (std::size_t j = i + 1; j < raw_cuts.size(); ++j) {
+            const Rect& ri = lo.shapes[raw_cuts[i].shape].rect;
+            for (std::size_t j : cut_idx.neighbours(ri, kClusterDist)) {
+                if (j <= i) continue;
                 const RawCut& a = raw_cuts[i];
                 const RawCut& b = raw_cuts[j];
                 if (a.layer != b.layer) continue;
@@ -276,6 +297,14 @@ Extraction extract(const Layout& lo, const Technology& tech,
     }
 
     // ---- 6. Device recognition ------------------------------------------------
+    // Poly shape -> its (first) fragment; absent shapes map past the end.
+    const std::size_t no_frag = ex.fragments.size();
+    std::vector<std::size_t> poly_frag(lo.shapes.size(), no_frag);
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+        const Fragment& f = ex.fragments[i];
+        if (f.layer == Layer::Poly && poly_frag[f.shape] == no_frag)
+            poly_frag[f.shape] = i;
+    }
     int anon_dev = 0;
     for (const GateRegion& g : gates) {
         ExtractedMos m;
@@ -285,25 +314,17 @@ Extraction extract(const Layout& lo, const Technology& tech,
         m.name = !dev.empty() ? dev : ("MX" + std::to_string(anon_dev++));
 
         // Gate fragment: the poly fragment of the gate strip.
-        bool found_gate = false;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            if (f.layer == Layer::Poly && f.shape == g.poly_shape) {
-                m.frag_gate = i;
-                m.net_gate = f.net;
-                found_gate = true;
-                break;
-            }
-        }
-        require(found_gate, "extract: gate fragment missing for " + m.name);
+        require(poly_frag[g.poly_shape] != no_frag,
+                "extract: gate fragment missing for " + m.name);
+        m.frag_gate = poly_frag[g.poly_shape];
+        m.net_gate = ex.fragments[m.frag_gate].net;
 
         // Source/drain: diffusion fragments sharing a full edge with the
         // channel.  Left/right if the diffusion abuts in x, else top/bottom.
         const Layer diff = g.is_nmos ? Layer::NDiff : Layer::PDiff;
         std::vector<std::size_t> left, right, below, above;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+        for (std::size_t i : near(g.rect, {diff})) {
             const Fragment& f = ex.fragments[i];
-            if (f.layer != diff || !f.rect.touches(g.rect)) continue;
             if (f.rect.overlaps(g.rect)) continue;  // residual sliver
             if (f.rect.hi.x == g.rect.lo.x && geom::y_overlap(f.rect, g.rect) > 0)
                 left.push_back(i);
@@ -363,7 +384,7 @@ Extraction extract(const Layout& lo, const Technology& tech,
         // the union of all metal1-over-poly overlap inside the marker.
         double best_top = 0.0, best_bot = 0.0;
         std::vector<std::size_t> tops, bots;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+        for (std::size_t i : near(mark.rect, {Layer::Metal1, Layer::Poly})) {
             const Fragment& f = ex.fragments[i];
             auto ov = geom::intersection(f.rect, mark.rect);
             if (!ov || ov->empty()) continue;

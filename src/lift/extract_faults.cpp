@@ -3,9 +3,11 @@
 #include "geom/spatial_index.h"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <tuple>
 
 namespace catlift::lift {
 
@@ -24,113 +26,279 @@ namespace {
 struct NetEdge {
     std::size_t a, b;   ///< fragment indices
     int cluster = -1;   ///< cut cluster index, -1 for same-layer touch
+
+    std::size_t other(std::size_t v) const { return v == a ? b : a; }
 };
 
-/// Everything the open/split analysis needs about the extracted circuit.
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Everything the open/split analysis needs about the extracted circuit,
+/// with the articulation/bridge structure of every net from one DFS pass.
+///
+/// The DFS runs over the whole fragment graph (edges never cross nets, so
+/// each DFS tree lies in one net) and numbers fragments in visit order:
+/// the subtree of `v` is the order range [disc[v], end[v]).  Removing a
+/// fragment `f` leaves, within its tree, one component per child `c` with
+/// low[c] >= disc[f] (that child's subtree) plus one "rest" component
+/// holding everything else; removing a tree edge to `c` splits the tree
+/// iff low[c] > disc[parent].  Terminal and port counts of any such
+/// component are differences of prefix sums over the visit order.
 struct NetGraph {
-    const Extraction* ex;
-    std::vector<std::vector<NetEdge>> edges;           // per net
-    std::vector<std::vector<std::size_t>> frags;       // per net
-    std::map<std::size_t, std::vector<TerminalRef>> anchors;  // frag -> terms
-    std::set<std::size_t> port_frags;                  // labelled fragments
+    /// Same-layer touch edges in ascending (a, b) order, then one edge per
+    /// cut cluster in cluster order -- the order attachments are listed in.
+    std::vector<NetEdge> edges;
+    std::size_t n_touch = 0;
+    std::vector<std::size_t> adj_start, adj;  ///< fragment -> edge ids
+    /// Every anchored device terminal in ascending order; the analysis
+    /// handles terminals by their rank in this list.
+    std::vector<TerminalRef> terms;
+    std::vector<std::array<std::uint32_t, 3>> mos_term;  ///< d, g, s ranks
+    std::vector<std::array<std::uint32_t, 2>> cap_term;  ///< bottom, top
+    std::vector<std::vector<std::uint32_t>> anchors;  ///< fragment -> ranks
+    std::vector<std::vector<std::size_t>> mos_on, caps_on, labels_on;
+    std::vector<char> is_port;  ///< first conductor under some label
 
-    explicit NetGraph(const Extraction& e, const layout::Layout& lo)
-        : ex(&e) {
-        const std::size_t n_nets = e.net_names.size();
-        edges.resize(n_nets);
-        frags.resize(n_nets);
-        for (std::size_t i = 0; i < e.fragments.size(); ++i)
-            frags[static_cast<std::size_t>(e.fragments[i].net)].push_back(i);
+    std::vector<std::size_t> disc, end, low, parent_edge, root, order;
+    std::vector<std::size_t> child_start, children;  ///< in visit order
+    std::vector<std::size_t> term_prefix, port_prefix;  ///< over `order`
+    /// Terminal/port totals of the children subtrees that removing the
+    /// fragment separates from the rest of its tree.
+    std::vector<std::size_t> sep_terms, sep_ports;
 
-        // Same-layer touching pairs (within each net).
-        for (std::size_t net = 0; net < n_nets; ++net) {
-            const auto& fs = frags[net];
-            for (std::size_t i = 0; i < fs.size(); ++i) {
-                for (std::size_t j = i + 1; j < fs.size(); ++j) {
-                    const Fragment& fa = e.fragments[fs[i]];
-                    const Fragment& fb = e.fragments[fs[j]];
-                    if (fa.layer == fb.layer && fa.rect.touches(fb.rect))
-                        edges[net].push_back(NetEdge{fs[i], fs[j], -1});
-                }
-            }
-        }
-        // Cut cluster edges.
-        for (std::size_t c = 0; c < e.cuts.size(); ++c) {
-            const CutCluster& cc = e.cuts[c];
-            const int net = e.fragments[cc.frag_a].net;
-            edges[static_cast<std::size_t>(net)].push_back(
-                NetEdge{cc.frag_a, cc.frag_b, static_cast<int>(c)});
-        }
-        // Terminal anchors.
-        for (const auto& m : e.mosfets) {
-            anchors[m.frag_drain].push_back({m.name, 0});
-            anchors[m.frag_gate].push_back({m.name, 1});
-            anchors[m.frag_source].push_back({m.name, 2});
-        }
-        for (const auto& c : e.caps) {
-            anchors[c.frag_bottom].push_back({c.name, 0});
-            anchors[c.frag_top].push_back({c.name, 1});
-        }
-        // Port anchors (labels).
-        for (const layout::Label& lb : lo.labels) {
-            for (std::size_t i = 0; i < e.fragments.size(); ++i) {
-                const Fragment& f = e.fragments[i];
-                if (f.layer == lb.layer && f.rect.contains(lb.at)) {
-                    port_frags.insert(i);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Connected components of one net's fragments with some edges removed.
-    /// `skip` returns true for edges to exclude.  Returns frag -> component.
-    template <typename Skip>
-    std::map<std::size_t, int> components(int net, Skip skip) const {
-        const auto& fs = frags[static_cast<std::size_t>(net)];
-        std::map<std::size_t, std::size_t> parent;
-        for (std::size_t f : fs) parent[f] = f;
-        std::function<std::size_t(std::size_t)> find =
-            [&](std::size_t x) -> std::size_t {
-            while (parent[x] != x) x = parent[x] = parent[parent[x]];
-            return x;
+    /// `by_layer` indexes the fragments of each layer.
+    NetGraph(const Extraction& e, const layout::Layout& lo,
+             std::vector<geom::SpatialIndex>& by_layer) {
+        const std::size_t n = e.fragments.size();
+        auto near = [&](Layer l, const Rect& r) {
+            return by_layer[static_cast<std::size_t>(l)].query(r);
         };
-        for (const NetEdge& ed : edges[static_cast<std::size_t>(net)]) {
-            if (skip(ed)) continue;
-            parent[find(ed.a)] = find(ed.b);
+
+        // Same-layer touching pairs within a net; i ascending and query
+        // results ascending give (a, b) order directly.
+        for (std::size_t i = 0; i < n; ++i) {
+            const Fragment& fa = e.fragments[i];
+            for (std::size_t j : near(fa.layer, fa.rect)) {
+                const Fragment& fb = e.fragments[j];
+                if (j > i && fa.net == fb.net && fa.rect.touches(fb.rect))
+                    edges.push_back(NetEdge{i, j, -1});
+            }
         }
-        std::map<std::size_t, int> comp;
-        std::map<std::size_t, int> root_id;
-        for (std::size_t f : fs) {
-            const std::size_t r = find(f);
-            auto [it, ins] = root_id.emplace(r, static_cast<int>(root_id.size()));
-            (void)ins;
-            comp[f] = it->second;
+        n_touch = edges.size();
+        for (std::size_t c = 0; c < e.cuts.size(); ++c)
+            edges.push_back(
+                NetEdge{e.cuts[c].frag_a, e.cuts[c].frag_b, static_cast<int>(c)});
+
+        adj_start.assign(n + 1, 0);
+        for (const NetEdge& ed : edges) {
+            ++adj_start[ed.a + 1];
+            ++adj_start[ed.b + 1];
         }
-        return comp;
+        for (std::size_t i = 0; i < n; ++i) adj_start[i + 1] += adj_start[i];
+        adj.resize(adj_start[n]);
+        std::vector<std::size_t> fill(adj_start.begin(), adj_start.end() - 1);
+        for (std::size_t id = 0; id < edges.size(); ++id) {
+            adj[fill[edges[id].a]++] = id;
+            adj[fill[edges[id].b]++] = id;
+        }
+
+        // Terminal anchors.  Device names are unique (the extracted
+        // netlist rejects duplicates), so every terminal has one rank.
+        for (const auto& m : e.mosfets)
+            for (int t = 0; t < 3; ++t) terms.push_back({m.name, t});
+        for (const auto& c : e.caps)
+            for (int t = 0; t < 2; ++t) terms.push_back({c.name, t});
+        std::sort(terms.begin(), terms.end());
+        auto rank = [&](const std::string& dev, int t) {
+            return static_cast<std::uint32_t>(
+                std::lower_bound(terms.begin(), terms.end(),
+                                 TerminalRef{dev, t}) -
+                terms.begin());
+        };
+        anchors.resize(n);
+        mos_on.resize(n);
+        caps_on.resize(n);
+        for (std::size_t k = 0; k < e.mosfets.size(); ++k) {
+            const auto& m = e.mosfets[k];
+            mos_term.push_back({rank(m.name, 0), rank(m.name, 1),
+                                rank(m.name, 2)});
+            anchors[m.frag_drain].push_back(mos_term[k][0]);
+            anchors[m.frag_gate].push_back(mos_term[k][1]);
+            anchors[m.frag_source].push_back(mos_term[k][2]);
+            // Drain, gate and source are three distinct fragments.
+            for (std::size_t f : {m.frag_drain, m.frag_gate, m.frag_source})
+                mos_on[f].push_back(k);
+        }
+        for (std::size_t k = 0; k < e.caps.size(); ++k) {
+            const auto& c = e.caps[k];
+            cap_term.push_back({rank(c.name, 0), rank(c.name, 1)});
+            anchors[c.frag_bottom].push_back(cap_term[k][0]);
+            anchors[c.frag_top].push_back(cap_term[k][1]);
+            for (std::size_t f : {c.frag_bottom, c.frag_top})
+                caps_on[f].push_back(k);
+        }
+        // Port anchors (labels): a label marks the first fragment under
+        // it as a port; every fragment under it lists it.
+        is_port.assign(n, 0);
+        labels_on.resize(n);
+        for (std::size_t k = 0; k < lo.labels.size(); ++k) {
+            const layout::Label& lb = lo.labels[k];
+            bool first = true;
+            for (std::size_t i :
+                 near(lb.layer, Rect(lb.at.x, lb.at.y, lb.at.x, lb.at.y))) {
+                if (!e.fragments[i].rect.contains(lb.at)) continue;
+                if (first) is_port[i] = 1;
+                first = false;
+                labels_on[i].push_back(k);
+            }
+        }
+        dfs();
     }
 
-    /// Terminals anchored on any fragment of a component set.
-    std::vector<TerminalRef> terminals_in(
-        const std::map<std::size_t, int>& comp,
-        const std::set<int>& comps) const {
+    /// Iterative Tarjan DFS keyed by edge id, so that parallel edges (two
+    /// cut clusters joining the same pair of fragments) count as a cycle.
+    void dfs() {
+        const std::size_t n = anchors.size();
+        disc.assign(n, kNone);
+        end.assign(n, 0);
+        low.assign(n, 0);
+        parent_edge.assign(n, kNone);
+        root.assign(n, 0);
+        order.clear();
+        order.reserve(n);
+        std::vector<std::pair<std::size_t, std::size_t>> stack;  // v, next adj
+        for (std::size_t s = 0; s < n; ++s) {
+            if (disc[s] != kNone) continue;
+            auto visit = [&](std::size_t v) {
+                disc[v] = low[v] = order.size();
+                order.push_back(v);
+                root[v] = s;
+                stack.emplace_back(v, adj_start[v]);
+            };
+            visit(s);
+            while (!stack.empty()) {
+                const std::size_t v = stack.back().first;
+                std::size_t& it = stack.back().second;
+                if (it < adj_start[v + 1]) {
+                    const std::size_t id = adj[it++];
+                    if (id == parent_edge[v]) continue;
+                    const std::size_t w = edges[id].other(v);
+                    if (disc[w] == kNone) {
+                        parent_edge[w] = id;
+                        visit(w);
+                    } else {
+                        low[v] = std::min(low[v], disc[w]);
+                    }
+                    continue;
+                }
+                end[v] = order.size();
+                stack.pop_back();
+                if (!stack.empty()) {
+                    const std::size_t p = stack.back().first;
+                    low[p] = std::min(low[p], low[v]);
+                }
+            }
+        }
+
+        child_start.assign(n + 1, 0);
+        for (std::size_t v = 0; v < n; ++v)
+            if (parent_edge[v] != kNone) ++child_start[parent(v) + 1];
+        for (std::size_t i = 0; i < n; ++i) child_start[i + 1] += child_start[i];
+        children.resize(child_start[n]);
+        std::vector<std::size_t> fill(child_start.begin(), child_start.end() - 1);
+        for (std::size_t v : order)
+            if (parent_edge[v] != kNone) children[fill[parent(v)]++] = v;
+
+        term_prefix.assign(n + 1, 0);
+        port_prefix.assign(n + 1, 0);
+        for (std::size_t t = 0; t < n; ++t) {
+            term_prefix[t + 1] = term_prefix[t] + anchors[order[t]].size();
+            port_prefix[t + 1] = port_prefix[t] + (is_port[order[t]] ? 1 : 0);
+        }
+        sep_terms.assign(n, 0);
+        sep_ports.assign(n, 0);
+        for (std::size_t v = 0; v < n; ++v) {
+            if (parent_edge[v] == kNone) continue;
+            const std::size_t p = parent(v);
+            if (low[v] < disc[p]) continue;
+            sep_terms[p] += terms_of(v);
+            sep_ports[p] += ports_of(v);
+        }
+    }
+
+    std::size_t parent(std::size_t v) const {
+        return edges[parent_edge[v]].other(v);
+    }
+    std::size_t terms_of(std::size_t v) const {  ///< subtree of v
+        return term_prefix[end[v]] - term_prefix[disc[v]];
+    }
+    std::size_t ports_of(std::size_t v) const {
+        return port_prefix[end[v]] - port_prefix[disc[v]];
+    }
+    bool separates(std::size_t child, std::size_t f) const {
+        return low[child] >= disc[f];
+    }
+
+    /// With fragment `f` removed, the component holding `x` (x != f, same
+    /// tree): the separated child subtree of f holding x, or kNone for
+    /// the rest of the tree.
+    std::size_t component(std::size_t f, std::size_t x) const {
+        if (disc[x] <= disc[f] || disc[x] >= end[f]) return kNone;
+        const auto first = children.begin() +
+                           static_cast<std::ptrdiff_t>(child_start[f]);
+        const auto last = children.begin() +
+                          static_cast<std::ptrdiff_t>(child_start[f + 1]);
+        const std::size_t c = *(std::upper_bound(first, last, disc[x],
+                                                 [&](std::size_t d, std::size_t v) {
+                                                     return d < disc[v];
+                                                 }) -
+                                1);
+        return separates(c, f) ? c : kNone;
+    }
+
+    /// Terminal and port counts of a component of the net without `f`.
+    std::size_t comp_terms(std::size_t f, std::size_t c) const {
+        if (c != kNone) return terms_of(c);
+        return terms_of(root[f]) - anchors[f].size() - sep_terms[f];
+    }
+    std::size_t comp_ports(std::size_t f, std::size_t c) const {
+        if (c != kNone) return ports_of(c);
+        return ports_of(root[f]) - (is_port[f] ? 1 : 0) - sep_ports[f];
+    }
+
+    /// Append the terminals anchored in visit-order range [lo, hi), except
+    /// on fragment `skip`.
+    void append_range(std::size_t lo, std::size_t hi, std::size_t skip,
+                      std::vector<std::uint32_t>& out) const {
+        for (std::size_t t = lo; t < hi; ++t)
+            if (order[t] != skip)
+                out.insert(out.end(), anchors[order[t]].begin(),
+                           anchors[order[t]].end());
+    }
+    /// Append the terminals of a component of the net without `f`.
+    void append_comp(std::size_t f, std::size_t c,
+                     std::vector<std::uint32_t>& out) const {
+        if (c != kNone) {
+            append_range(disc[c], end[c], kNone, out);
+            return;
+        }
+        std::size_t t = disc[root[f]];
+        for (std::size_t k = child_start[f]; k < child_start[f + 1]; ++k) {
+            const std::size_t ch = children[k];
+            if (!separates(ch, f)) continue;
+            append_range(t, disc[ch], f, out);
+            t = end[ch];
+        }
+        append_range(t, end[root[f]], f, out);
+    }
+
+    /// Terminal ranks -> the sorted, duplicate-free terminal list.
+    std::vector<TerminalRef> terminals(std::vector<std::uint32_t>& ranks) const {
+        std::sort(ranks.begin(), ranks.end());
+        ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
         std::vector<TerminalRef> out;
-        for (const auto& [frag, c] : comp) {
-            if (!comps.count(c)) continue;
-            auto it = anchors.find(frag);
-            if (it == anchors.end()) continue;
-            out.insert(out.end(), it->second.begin(), it->second.end());
-        }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
+        out.reserve(ranks.size());
+        for (std::uint32_t r : ranks) out.push_back(terms[r]);
         return out;
-    }
-
-    bool ports_in(const std::map<std::size_t, int>& comp,
-                  const std::set<int>& comps) const {
-        for (const auto& [frag, c] : comp)
-            if (comps.count(c) && port_frags.count(frag)) return true;
-        return false;
     }
 };
 
@@ -139,7 +307,7 @@ struct Attachment {
     Coord lo, hi;  ///< interval along the long axis
     enum class Kind { Frag, Terminal, Port } kind;
     std::size_t frag = 0;   // Kind::Frag: the attached fragment
-    TerminalRef term;       // Kind::Terminal
+    std::uint32_t term = 0; // Kind::Terminal: rank in NetGraph::terms
 };
 
 /// Merge-key for faults with identical electrical signature.  The
@@ -148,28 +316,48 @@ struct Attachment {
 /// AnaFAULT; the merged fault carries the mechanism contributing the most
 /// probability as its label.
 std::string fault_key(const Fault& f) {
-    std::string k = std::string(to_string(f.kind)) + "|";
+    std::string k = to_string(f.kind);
+    k += '|';
+    auto add_term = [&k](const TerminalRef& t) {
+        k += t.device;
+        k += ':';
+        k += std::to_string(t.terminal);
+    };
     switch (f.kind) {
         case FaultKind::LocalShort:
-        case FaultKind::GlobalShort: {
-            const auto& lo = std::min(f.net_a, f.net_b);
-            const auto& hi = std::max(f.net_a, f.net_b);
-            k += lo + ">" + hi;
+        case FaultKind::GlobalShort:
+            k += std::min(f.net_a, f.net_b);
+            k += '>';
+            k += std::max(f.net_a, f.net_b);
             break;
-        }
         case FaultKind::LineOpen:
-        case FaultKind::SplitNode: {
-            k += f.net + "[";
-            for (const TerminalRef& t : f.group_b)
-                k += t.device + ":" + std::to_string(t.terminal) + ",";
-            k += "]";
+        case FaultKind::SplitNode:
+            k += f.net;
+            k += '[';
+            for (const TerminalRef& t : f.group_b) {
+                add_term(t);
+                k += ',';
+            }
+            k += ']';
             break;
-        }
         case FaultKind::StuckOpen:
-            k += f.victim.device + ":" + std::to_string(f.victim.terminal);
+            add_term(f.victim);
             break;
     }
     return k;
+}
+
+/// Site probabilities by (mechanism, two site dimensions).  A layout
+/// repeats cells, so most sites share their geometry with an earlier one
+/// and the critical-area integral is evaluated once per distinct site.
+using ProbCache = std::map<std::tuple<const Mechanism*, Coord, Coord>, double>;
+
+template <typename Eval>
+double cached(ProbCache& cache, const Mechanism* m, Coord a, Coord b,
+              Eval eval) {
+    auto [it, fresh] = cache.try_emplace({m, a, b}, 0.0);
+    if (fresh) it->second = eval();
+    return it->second;
 }
 
 } // namespace
@@ -184,34 +372,46 @@ LiftResult extract_faults(const layout::Layout& lo,
     const defects::DefectStatistics& stats = model.stats();
     const auto xmax = static_cast<Coord>(model.max_defect());
 
-    NetGraph graph(ex, lo);
-    std::map<std::string, Fault> merged;  // key -> accumulated fault
-    // Per-mechanism contributions of each merged fault; the dominant one
-    // becomes the fault's mechanism label.
-    std::map<std::string, std::map<std::string, double>> contrib;
+    // Per-layer fragment indices, shared by the net graph and the bridges.
+    std::vector<std::vector<std::size_t>> on_layer(layout::kLayerCount);
+    std::vector<geom::SpatialIndex> by_layer(
+        layout::kLayerCount, geom::SpatialIndex(std::max<Coord>(xmax, 1000)));
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+        const auto l = static_cast<std::size_t>(ex.fragments[i].layer);
+        on_layer[l].push_back(i);
+        by_layer[l].insert(i, ex.fragments[i].rect);
+    }
+    NetGraph graph(ex, lo, by_layer);
+    struct Merged {
+        Fault fault;  ///< the accumulated fault
+        /// Per-mechanism contributions; the dominant one becomes the
+        /// fault's mechanism label.
+        std::map<std::string, double> by_mech;
+    };
+    std::map<std::string, Merged> merged;  // key -> accumulated fault
 
+    ProbCache bridge_p, open_p, cut_p;
     auto accumulate = [&](Fault f) {
-        const std::string key = fault_key(f);
-        contrib[key][f.mechanism] += f.probability;
-        auto it = merged.find(key);
-        if (it == merged.end())
-            merged.emplace(key, std::move(f));
+        auto [it, fresh] = merged.try_emplace(fault_key(f));
+        it->second.by_mech[f.mechanism] += f.probability;
+        if (fresh)
+            it->second.fault = std::move(f);
         else
-            it->second.probability += f.probability;
+            it->second.fault.probability += f.probability;
     };
 
     // Classify an open by the terminals it isolates: one MOS terminal is a
     // transistor stuck-open regardless of whether the failing site was a
     // contact cluster or a line span.
+    std::set<std::string> mos_names;
+    for (const auto& m : ex.mosfets) mos_names.insert(m.name);
     auto classify_open = [&](Fault& f) {
         if (f.group_b.size() == 1) {
             const TerminalRef& t = f.group_b[0];
-            for (const auto& m : ex.mosfets) {
-                if (m.name == t.device) {
-                    f.kind = FaultKind::StuckOpen;
-                    f.victim = t;
-                    return;
-                }
+            if (mos_names.count(t.device)) {
+                f.kind = FaultKind::StuckOpen;
+                f.victim = t;
+                return;
             }
             f.kind = FaultKind::LineOpen;
         } else {
@@ -219,7 +419,17 @@ LiftResult extract_faults(const layout::Layout& lo,
         }
     };
 
-    // Classification helper for shorts.
+    // Net pairs sharing a device (ordered names): the fallback locality
+    // test for shorts when no net blocks are given.
+    std::set<std::pair<std::string, std::string>> device_pairs;
+    if (opt.net_blocks.empty()) {
+        for (const auto& d : ex.circuit.devices)
+            for (const std::string& a : d.nodes)
+                for (const std::string& b : d.nodes)
+                    if (a < b) device_pairs.emplace(a, b);
+    }
+
+    // Classification helper for shorts (a < b).
     auto short_kind = [&](const std::string& a, const std::string& b) {
         if (!opt.net_blocks.empty()) {
             auto ba = opt.net_blocks.find(a);
@@ -234,15 +444,8 @@ LiftResult extract_faults(const layout::Layout& lo,
                                       : FaultKind::GlobalShort;
         }
         // Fallback: a bridge is local iff the nets share a device.
-        for (const auto& d : ex.circuit.devices) {
-            bool hit_a = false, hit_b = false;
-            for (const std::string& n : d.nodes) {
-                hit_a |= n == a;
-                hit_b |= n == b;
-            }
-            if (hit_a && hit_b) return FaultKind::LocalShort;
-        }
-        return FaultKind::GlobalShort;
+        return device_pairs.count({a, b}) ? FaultKind::LocalShort
+                                          : FaultKind::GlobalShort;
     };
 
     // ---- Bridges -------------------------------------------------------
@@ -250,17 +453,13 @@ LiftResult extract_faults(const layout::Layout& lo,
         const Layer layer = static_cast<Layer>(li);
         const Mechanism* mech = stats.find(layer, FailureMode::Short);
         if (!mech) continue;
-        std::vector<std::size_t> ids;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i)
-            if (ex.fragments[i].layer == layer) ids.push_back(i);
-        geom::SpatialIndex idx(std::max<Coord>(xmax, 1000));
-        for (std::size_t i : ids) idx.insert(i, ex.fragments[i].rect);
-        for (std::size_t i : ids) {
+        const auto l = static_cast<std::size_t>(li);
+        for (std::size_t i : on_layer[l]) {
             const Fragment& fa = ex.fragments[i];
-            for (std::size_t j : idx.neighbours(fa.rect, xmax)) {
+            for (std::size_t j : by_layer[l].neighbours(fa.rect, xmax)) {
                 if (j <= i) continue;
                 const Fragment& fb = ex.fragments[j];
-                if (fb.layer != layer || fb.net == fa.net) continue;
+                if (fb.net == fa.net) continue;
                 const geom::Point gaps = geom::axis_gaps(fa.rect, fb.rect);
                 if (gaps.x > 0 && gaps.y > 0) continue;  // diagonal
                 const Coord spacing = std::max(gaps.x, gaps.y);
@@ -276,9 +475,12 @@ LiftResult extract_faults(const layout::Layout& lo,
                 f.net_b = ex.net_name(fb.net);
                 if (f.net_a > f.net_b) std::swap(f.net_a, f.net_b);
                 f.kind = short_kind(f.net_a, f.net_b);
-                f.probability = model.bridge_probability(
-                    *mech, static_cast<double>(facing),
-                    static_cast<double>(spacing));
+                f.probability =
+                    cached(bridge_p, mech, facing, spacing, [&] {
+                        return model.bridge_probability(
+                            *mech, static_cast<double>(facing),
+                            static_cast<double>(spacing));
+                    });
                 accumulate(std::move(f));
             }
         }
@@ -303,53 +505,40 @@ LiftResult extract_faults(const layout::Layout& lo,
 
         // Collect attachments.
         std::vector<Attachment> att;
-        for (const NetEdge& ed :
-             graph.edges[static_cast<std::size_t>(f.net)]) {
-            std::size_t other;
-            Rect where;
-            if (ed.a == fi) {
-                other = ed.b;
-            } else if (ed.b == fi) {
-                other = ed.a;
-            } else {
-                continue;
-            }
-            where = ed.cluster >= 0
-                        ? ex.cuts[static_cast<std::size_t>(ed.cluster)].bbox
-                        : ex.fragments[other].rect;
+        for (std::size_t k = graph.adj_start[fi]; k < graph.adj_start[fi + 1];
+             ++k) {
+            const NetEdge& ed = graph.edges[graph.adj[k]];
+            const std::size_t other = ed.other(fi);
+            const Rect& where =
+                ed.cluster >= 0
+                    ? ex.cuts[static_cast<std::size_t>(ed.cluster)].bbox
+                    : ex.fragments[other].rect;
             auto [lo_p, hi_p] = project(where);
             if (lo_p > hi_p) std::swap(lo_p, hi_p);
-            att.push_back(
-                {lo_p, hi_p, Attachment::Kind::Frag, other, TerminalRef{}});
+            att.push_back({lo_p, hi_p, Attachment::Kind::Frag, other, 0});
         }
         // Device terminals anchored on this fragment (at the gate position).
-        for (const auto& m : ex.mosfets) {
-            if (m.frag_drain == fi || m.frag_gate == fi ||
-                m.frag_source == fi) {
-                auto [lo_p, hi_p] = project(m.gate);
-                int term = m.frag_gate == fi ? 1 : (m.frag_drain == fi ? 0 : 2);
-                att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, 0,
-                               TerminalRef{m.name, term}});
-            }
+        for (std::size_t k : graph.mos_on[fi]) {
+            const auto& m = ex.mosfets[k];
+            auto [lo_p, hi_p] = project(m.gate);
+            int term = m.frag_gate == fi ? 1 : (m.frag_drain == fi ? 0 : 2);
+            att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, 0,
+                           graph.mos_term[k][static_cast<std::size_t>(term)]});
         }
-        for (const auto& c : ex.caps) {
-            if (c.frag_bottom == fi || c.frag_top == fi) {
-                // The plate is the anchor: use the whole fragment extent so
-                // the plate body never ends up "cut off" from itself.
-                att.push_back({project(f.rect).first, project(f.rect).second,
-                               Attachment::Kind::Terminal, 0,
-                               TerminalRef{c.name,
-                                           c.frag_bottom == fi ? 0 : 1}});
-            }
+        for (std::size_t k : graph.caps_on[fi]) {
+            const auto& c = ex.caps[k];
+            // The plate is the anchor: use the whole fragment extent so
+            // the plate body never ends up "cut off" from itself.
+            att.push_back({project(f.rect).first, project(f.rect).second,
+                           Attachment::Kind::Terminal, 0,
+                           graph.cap_term[k][c.frag_bottom == fi ? 0 : 1]});
         }
         // Ports.
-        if (graph.port_frags.count(fi)) {
-            for (const layout::Label& lb : lo.labels) {
-                if (lb.layer == f.layer && f.rect.contains(lb.at)) {
-                    const Coord p = along_x ? lb.at.x : lb.at.y;
-                    att.push_back({p, p, Attachment::Kind::Port, 0,
-                                   TerminalRef{}});
-                }
+        if (graph.is_port[fi]) {
+            for (std::size_t k : graph.labels_on[fi]) {
+                const layout::Label& lb = lo.labels[k];
+                const Coord p = along_x ? lb.at.x : lb.at.y;
+                att.push_back({p, p, Attachment::Kind::Port, 0, 0});
             }
         }
         if (att.size() < 2) continue;
@@ -358,86 +547,98 @@ LiftResult extract_faults(const layout::Layout& lo,
                       return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
                   });
 
-        // Components of the net without this fragment.
-        auto comp = graph.components(f.net, [&](const NetEdge& ed) {
-            return ed.a == fi || ed.b == fi;
-        });
-        comp.erase(fi);
+        // Components of the net without this fragment that the attachments
+        // reach, with the first and last attachment reaching each.  A span
+        // between attachments i and i+1 is bypassed iff some component
+        // reaches both sides (first <= i < last); otherwise side A holds
+        // exactly the components with last <= i.
+        const std::size_t n_att = att.size();
+        std::vector<std::pair<std::size_t, std::size_t>> reach;  // comp, k
+        for (std::size_t k = 0; k < n_att; ++k)
+            if (att[k].kind == Attachment::Kind::Frag)
+                reach.emplace_back(graph.component(fi, att[k].frag), k);
+        std::sort(reach.begin(), reach.end());
+        struct Reached {
+            std::size_t comp, first, last;
+        };
+        std::vector<Reached> comps;
+        for (const auto& [c, k] : reach) {
+            if (comps.empty() || comps.back().comp != c)
+                comps.push_back({c, k, k});
+            else
+                comps.back().last = k;
+        }
+        // Per attachment index i: spans straddled, and side A's terminal
+        // and port totals (direct ones plus components closed by i).
+        std::vector<long> straddle(n_att + 1, 0);
+        std::vector<std::size_t> terms_a(n_att, 0), ports_a(n_att, 0);
+        for (const Reached& r : comps) {
+            ++straddle[r.first];
+            --straddle[r.last];
+            terms_a[r.last] += graph.comp_terms(fi, r.comp);
+            ports_a[r.last] += graph.comp_ports(fi, r.comp);
+        }
+        for (std::size_t k = 0; k < n_att; ++k) {
+            terms_a[k] += att[k].kind == Attachment::Kind::Terminal ? 1 : 0;
+            ports_a[k] += att[k].kind == Attachment::Kind::Port ? 1 : 0;
+            if (k > 0) {
+                straddle[k] += straddle[k - 1];
+                terms_a[k] += terms_a[k - 1];
+                ports_a[k] += ports_a[k - 1];
+            }
+        }
+        const std::size_t terms_all = terms_a[n_att - 1];
+        const std::size_t ports_all = ports_a[n_att - 1];
 
         // Examine each free span between consecutive attachments.
         Coord covered_hi = att.front().hi;
-        for (std::size_t i = 0; i + 1 < att.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < n_att; ++i) {
             covered_hi = std::max(covered_hi, att[i].hi);
             const Coord gap = att[i + 1].lo - covered_hi;
             if (gap <= 0) continue;
             ++res.stats.open_sites;
 
-            // Side assignment by sort order.
-            std::set<int> comps_a, comps_b;
-            std::vector<TerminalRef> term_a, term_b;
-            bool port_a = false, port_b = false;
-            bool redundant = false;
-            for (std::size_t k = 0; k < att.size(); ++k) {
-                const bool side_a = k <= i;
-                const Attachment& a = att[k];
-                switch (a.kind) {
-                    case Attachment::Kind::Frag: {
-                        const int c = comp.at(a.frag);
-                        (side_a ? comps_a : comps_b).insert(c);
-                        break;
-                    }
-                    case Attachment::Kind::Terminal:
-                        (side_a ? term_a : term_b).push_back(a.term);
-                        break;
-                    case Attachment::Kind::Port:
-                        (side_a ? port_a : port_b) = true;
-                        break;
-                }
-            }
             // A component attached on both sides bypasses the cut.
-            for (int c : comps_a)
-                if (comps_b.count(c)) redundant = true;
-            if (redundant) {
+            if (straddle[i] > 0) {
                 ++res.stats.redundant_opens;
                 continue;
             }
-            auto ta = graph.terminals_in(comp, comps_a);
-            auto tb = graph.terminals_in(comp, comps_b);
-            term_a.insert(term_a.end(), ta.begin(), ta.end());
-            term_b.insert(term_b.end(), tb.begin(), tb.end());
-            port_a = port_a || graph.ports_in(comp, comps_a);
-            port_b = port_b || graph.ports_in(comp, comps_b);
-            if (term_a.empty() && !port_a) {
-                ++res.stats.dangling_opens;
-                continue;
-            }
-            if (term_b.empty() && !port_b) {
+            std::size_t term_a = terms_a[i], term_b = terms_all - terms_a[i];
+            bool port_a = ports_a[i] > 0, port_b = ports_all > ports_a[i];
+            if ((term_a == 0 && !port_a) || (term_b == 0 && !port_b)) {
                 ++res.stats.dangling_opens;
                 continue;
             }
             // Side B: the side away from the ports (sources/observation
             // points keep the original node name).
-            if (port_b && !port_a) {
-                std::swap(term_a, term_b);
-                std::swap(port_a, port_b);
-            } else if (port_a == port_b && term_b.size() > term_a.size()) {
-                std::swap(term_a, term_b);
+            bool b_is_low = false;  // side B is attachments 0..i
+            if ((port_b && !port_a) || (port_a == port_b && term_b > term_a)) {
+                b_is_low = true;
+                term_b = term_a;
             }
-            if (term_b.empty()) {
+            if (term_b == 0) {
                 ++res.stats.dangling_opens;
                 continue;
             }
-            std::sort(term_b.begin(), term_b.end());
-            term_b.erase(std::unique(term_b.begin(), term_b.end()),
-                         term_b.end());
+            std::vector<std::uint32_t> group_b;
+            const std::size_t k0 = b_is_low ? 0 : i + 1;
+            const std::size_t k1 = b_is_low ? i + 1 : n_att;
+            for (std::size_t k = k0; k < k1; ++k)
+                if (att[k].kind == Attachment::Kind::Terminal)
+                    group_b.push_back(att[k].term);
+            for (const Reached& r : comps)
+                if ((r.last <= i) == b_is_low)
+                    graph.append_comp(fi, r.comp, group_b);
 
             Fault flt;
             flt.mechanism = mech->name;
             flt.net = ex.net_name(f.net);
-            flt.group_b = term_b;
+            flt.group_b = graph.terminals(group_b);
             classify_open(flt);
-            flt.probability = model.open_probability(
-                *mech, static_cast<double>(gap), static_cast<double>(width));
+            flt.probability = cached(open_p, mech, gap, width, [&] {
+                return model.open_probability(*mech, static_cast<double>(gap),
+                                              static_cast<double>(width));
+            });
             accumulate(std::move(flt));
         }
     }
@@ -453,58 +654,76 @@ LiftResult extract_faults(const layout::Layout& lo,
         if (!mech) continue;
         ++res.stats.cut_sites;
 
-        const int net = ex.fragments[cc.frag_a].net;
-        auto comp = graph.components(net, [&](const NetEdge& ed) {
-            return ed.cluster == static_cast<int>(ci);
-        });
-        if (comp.at(cc.frag_a) == comp.at(cc.frag_b)) {
+        // Only a bridge of the net graph -- a DFS tree edge whose child
+        // subtree has no other way up -- splits the net.
+        const std::size_t id = graph.n_touch + ci;
+        const std::size_t child =
+            graph.parent_edge[cc.frag_a] == id ? cc.frag_a : cc.frag_b;
+        if (graph.parent_edge[child] != id ||
+            graph.low[child] <= graph.disc[graph.parent(child)]) {
             ++res.stats.redundant_opens;
             continue;  // another path keeps the net together
         }
-        const std::set<int> comps_a{comp.at(cc.frag_a)};
-        const std::set<int> comps_b{comp.at(cc.frag_b)};
-        auto term_a = graph.terminals_in(comp, comps_a);
-        auto term_b = graph.terminals_in(comp, comps_b);
-        bool port_a = graph.ports_in(comp, comps_a);
-        bool port_b = graph.ports_in(comp, comps_b);
-        if ((term_a.empty() && !port_a) || (term_b.empty() && !port_b)) {
+        const std::size_t top = graph.root[child];
+        const std::size_t sub_terms = graph.terms_of(child);
+        const std::size_t sub_ports = graph.ports_of(child);
+        const std::size_t rest_terms = graph.terms_of(top) - sub_terms;
+        const std::size_t rest_ports = graph.ports_of(top) - sub_ports;
+        const bool a_is_sub = child == cc.frag_a;
+        std::size_t term_a = a_is_sub ? sub_terms : rest_terms;
+        std::size_t term_b = a_is_sub ? rest_terms : sub_terms;
+        bool port_a = (a_is_sub ? sub_ports : rest_ports) > 0;
+        bool port_b = (a_is_sub ? rest_ports : sub_ports) > 0;
+        if ((term_a == 0 && !port_a) || (term_b == 0 && !port_b)) {
             ++res.stats.dangling_opens;
             continue;
         }
-        if (port_b && !port_a) {
-            std::swap(term_a, term_b);
-            std::swap(port_a, port_b);
-        } else if (port_a == port_b && term_b.size() > term_a.size()) {
-            std::swap(term_a, term_b);
+        bool b_is_sub = !a_is_sub;
+        if ((port_b && !port_a) || (port_a == port_b && term_b > term_a)) {
+            b_is_sub = a_is_sub;
+            term_b = term_a;
         }
-        if (term_b.empty()) {
+        if (term_b == 0) {
             ++res.stats.dangling_opens;
             continue;
+        }
+        std::vector<std::uint32_t> group_b;
+        if (b_is_sub) {
+            graph.append_range(graph.disc[child], graph.end[child], kNone,
+                               group_b);
+        } else {
+            graph.append_range(graph.disc[top], graph.disc[child], kNone,
+                               group_b);
+            graph.append_range(graph.end[child], graph.end[top], kNone,
+                               group_b);
         }
 
         Fault flt;
         flt.mechanism = mech->name;
-        flt.net = ex.net_name(net);
-        flt.group_b = term_b;
+        flt.net = ex.net_name(ex.fragments[cc.frag_a].net);
+        flt.group_b = graph.terminals(group_b);
         classify_open(flt);
-        flt.probability = model.cut_probability(
-            *mech, static_cast<double>(cc.bbox.width()),
-            static_cast<double>(cc.bbox.height()));
+        flt.probability =
+            cached(cut_p, mech, cc.bbox.width(), cc.bbox.height(), [&] {
+                return model.cut_probability(
+                    *mech, static_cast<double>(cc.bbox.width()),
+                    static_cast<double>(cc.bbox.height()));
+            });
         accumulate(std::move(flt));
     }
 
     // ---- Threshold, label, rank -------------------------------------------
     res.faults.circuit = lo.name;
-    for (auto& [key, f] : merged) {
+    for (auto& [key, m] : merged) {
+        Fault& f = m.fault;
         if (f.probability < opt.p_min) {
             ++res.stats.dropped;
             res.stats.dropped_probability += f.probability;
             continue;
         }
         // Label with the mechanism contributing the most probability.
-        const auto& by_mech = contrib.at(key);
         f.mechanism =
-            std::max_element(by_mech.begin(), by_mech.end(),
+            std::max_element(m.by_mech.begin(), m.by_mech.end(),
                              [](const auto& a, const auto& b) {
                                  return a.second < b.second;
                              })

@@ -12,13 +12,27 @@
 // Site classes:
 //  * bridges   -- facing conductor pairs on one layer closer than the
 //    maximum defect size (includes the global short condition: any net
-//    pair, not just terminals of one element);
+//    pair, not just terminals of one element), found through a per-layer
+//    spatial index;
 //  * line opens -- free spans of a conductor between its attachment points;
 //    cutting a span splits the net into the attachments on either side.
 //    Spans that are bypassed by a redundant path cause no electrical
 //    change and are discarded (counted in the statistics);
 //  * cut opens -- contact/via clusters; a cluster whose loss disconnects
 //    exactly one transistor terminal becomes a transistor stuck-open.
+//
+// Open analysis.  Each net is a graph: fragments are vertices, same-layer
+// touches and cut clusters are edges.  One iterative Tarjan DFS over all
+// nets (keyed by edge id, so two clusters joining the same fragments form
+// a cycle) records discovery order, low-links and subtree ranges.  Cutting
+// a span of fragment f leaves, per DFS tree, one component for each child
+// subtree that f separates (low >= disc[f]) plus one for the rest; a cut
+// cluster opens its net iff its edge is a bridge.  Terminal and port
+// counts of either side are prefix-sum differences over the DFS order, and
+// the isolated terminal list is gathered only for the side that becomes
+// the fault.  Building the graph and the DFS cost O(fragments + edges);
+// each site costs O(attachments log attachments) plus the size of the
+// terminal list it emits.
 
 #pragma once
 

@@ -194,7 +194,9 @@ FaultList read_faultlist(std::istream& is) {
         std::string kw;
         ls >> kw;
         if (kw == "faultlist") {
-            ls >> fl.circuit;
+            // The circuit name is the rest of the line (it may hold spaces).
+            std::getline(ls >> std::ws, fl.circuit);
+            fl.circuit.erase(fl.circuit.find_last_not_of(" \t\r") + 1);
             saw_header = true;
         } else if (kw == "fault") {
             Fault f;

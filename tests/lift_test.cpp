@@ -86,6 +86,13 @@ TEST(FaultModel, FaultListRoundTrip) {
     ASSERT_EQ(back.faults[1].group_b.size(), 2u);
     EXPECT_EQ(back.faults[1].group_b[1], (TerminalRef{"M7", 1}));
     EXPECT_EQ(back.faults[2].victim.device, "M7");
+
+    // A multi-word circuit name survives the round trip whole.
+    fl.circuit = "inverter chain x256";
+    EXPECT_EQ(read_faultlist_text(write_faultlist(fl)).circuit,
+              "inverter chain x256");
+    EXPECT_EQ(read_faultlist_text("faultlist  two words \t\r\nend\n").circuit,
+              "two words");
 }
 
 TEST(FaultModel, BadFaultListRejected) {
