@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 
 namespace catlift::lift {
@@ -32,6 +32,26 @@ struct NetEdge {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+/// Per-fragment lists in one buffer: list i is items[start[i], start[i+1]).
+struct FlatLists {
+    std::vector<std::size_t> start, items;
+
+    /// `emit(add)` calls add(list, item) once per entry, the same way each
+    /// time it is called; entries keep their emission order in a list.
+    template <typename Emit>
+    void build(std::size_t n, Emit emit) {
+        start.assign(n + 1, 0);
+        emit([&](std::size_t i, std::size_t) { ++start[i + 1]; });
+        for (std::size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+        items.resize(start[n]);
+        std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+        emit([&](std::size_t i, std::size_t v) { items[fill[i]++] = v; });
+    }
+    std::span<const std::size_t> operator[](std::size_t i) const {
+        return {items.data() + start[i], start[i + 1] - start[i]};
+    }
+};
+
 /// Everything the open/split analysis needs about the extracted circuit,
 /// with the articulation/bridge structure of every net from one DFS pass.
 ///
@@ -48,18 +68,18 @@ struct NetGraph {
     /// cut cluster in cluster order -- the order attachments are listed in.
     std::vector<NetEdge> edges;
     std::size_t n_touch = 0;
-    std::vector<std::size_t> adj_start, adj;  ///< fragment -> edge ids
+    FlatLists adj;  ///< fragment -> incident edge ids, ascending
     /// Every anchored device terminal in ascending order; the analysis
     /// handles terminals by their rank in this list.
     std::vector<TerminalRef> terms;
-    std::vector<std::array<std::uint32_t, 3>> mos_term;  ///< d, g, s ranks
-    std::vector<std::array<std::uint32_t, 2>> cap_term;  ///< bottom, top
-    std::vector<std::vector<std::uint32_t>> anchors;  ///< fragment -> ranks
-    std::vector<std::vector<std::size_t>> mos_on, caps_on, labels_on;
+    std::vector<std::array<std::size_t, 3>> mos_term;  ///< d, g, s ranks
+    std::vector<std::array<std::size_t, 2>> cap_term;  ///< bottom, top
+    FlatLists anchors;  ///< fragment -> terminal ranks
+    FlatLists mos_on, caps_on, labels_on;  ///< fragment -> device/label ids
     std::vector<char> is_port;  ///< first conductor under some label
 
     std::vector<std::size_t> disc, end, low, parent_edge, root, order;
-    std::vector<std::size_t> child_start, children;  ///< in visit order
+    FlatLists children;  ///< DFS tree children, in visit order
     std::vector<std::size_t> term_prefix, port_prefix;  ///< over `order`
     /// Terminal/port totals of the children subtrees that removing the
     /// fragment separates from the rest of its tree.
@@ -88,18 +108,12 @@ struct NetGraph {
             edges.push_back(
                 NetEdge{e.cuts[c].frag_a, e.cuts[c].frag_b, static_cast<int>(c)});
 
-        adj_start.assign(n + 1, 0);
-        for (const NetEdge& ed : edges) {
-            ++adj_start[ed.a + 1];
-            ++adj_start[ed.b + 1];
-        }
-        for (std::size_t i = 0; i < n; ++i) adj_start[i + 1] += adj_start[i];
-        adj.resize(adj_start[n]);
-        std::vector<std::size_t> fill(adj_start.begin(), adj_start.end() - 1);
-        for (std::size_t id = 0; id < edges.size(); ++id) {
-            adj[fill[edges[id].a]++] = id;
-            adj[fill[edges[id].b]++] = id;
-        }
+        adj.build(n, [&](auto add) {
+            for (std::size_t id = 0; id < edges.size(); ++id) {
+                add(edges[id].a, id);
+                add(edges[id].b, id);
+            }
+        });
 
         // Terminal anchors.  Device names are unique (the extracted
         // netlist rejects duplicates), so every terminal has one rank.
@@ -109,37 +123,46 @@ struct NetGraph {
             for (int t = 0; t < 2; ++t) terms.push_back({c.name, t});
         std::sort(terms.begin(), terms.end());
         auto rank = [&](const std::string& dev, int t) {
-            return static_cast<std::uint32_t>(
+            return static_cast<std::size_t>(
                 std::lower_bound(terms.begin(), terms.end(),
                                  TerminalRef{dev, t}) -
                 terms.begin());
         };
-        anchors.resize(n);
-        mos_on.resize(n);
-        caps_on.resize(n);
-        for (std::size_t k = 0; k < e.mosfets.size(); ++k) {
-            const auto& m = e.mosfets[k];
-            mos_term.push_back({rank(m.name, 0), rank(m.name, 1),
-                                rank(m.name, 2)});
-            anchors[m.frag_drain].push_back(mos_term[k][0]);
-            anchors[m.frag_gate].push_back(mos_term[k][1]);
-            anchors[m.frag_source].push_back(mos_term[k][2]);
-            // Drain, gate and source are three distinct fragments.
-            for (std::size_t f : {m.frag_drain, m.frag_gate, m.frag_source})
-                mos_on[f].push_back(k);
-        }
-        for (std::size_t k = 0; k < e.caps.size(); ++k) {
-            const auto& c = e.caps[k];
+        for (const auto& m : e.mosfets)
+            mos_term.push_back(
+                {rank(m.name, 0), rank(m.name, 1), rank(m.name, 2)});
+        for (const auto& c : e.caps)
             cap_term.push_back({rank(c.name, 0), rank(c.name, 1)});
-            anchors[c.frag_bottom].push_back(cap_term[k][0]);
-            anchors[c.frag_top].push_back(cap_term[k][1]);
-            for (std::size_t f : {c.frag_bottom, c.frag_top})
-                caps_on[f].push_back(k);
-        }
+        // Drain, gate and source are three distinct fragments, as are the
+        // two plates, so each device is listed once per fragment.
+        mos_on.build(n, [&](auto add) {
+            for (std::size_t k = 0; k < e.mosfets.size(); ++k) {
+                const auto& m = e.mosfets[k];
+                for (std::size_t f : {m.frag_drain, m.frag_gate, m.frag_source})
+                    add(f, k);
+            }
+        });
+        caps_on.build(n, [&](auto add) {
+            for (std::size_t k = 0; k < e.caps.size(); ++k)
+                for (std::size_t f : {e.caps[k].frag_bottom, e.caps[k].frag_top})
+                    add(f, k);
+        });
+        anchors.build(n, [&](auto add) {
+            for (std::size_t k = 0; k < e.mosfets.size(); ++k) {
+                const auto& m = e.mosfets[k];
+                add(m.frag_drain, mos_term[k][0]);
+                add(m.frag_gate, mos_term[k][1]);
+                add(m.frag_source, mos_term[k][2]);
+            }
+            for (std::size_t k = 0; k < e.caps.size(); ++k) {
+                add(e.caps[k].frag_bottom, cap_term[k][0]);
+                add(e.caps[k].frag_top, cap_term[k][1]);
+            }
+        });
         // Port anchors (labels): a label marks the first fragment under
         // it as a port; every fragment under it lists it.
         is_port.assign(n, 0);
-        labels_on.resize(n);
+        std::vector<std::pair<std::size_t, std::size_t>> under;  // frag, label
         for (std::size_t k = 0; k < lo.labels.size(); ++k) {
             const layout::Label& lb = lo.labels[k];
             bool first = true;
@@ -148,16 +171,19 @@ struct NetGraph {
                 if (!e.fragments[i].rect.contains(lb.at)) continue;
                 if (first) is_port[i] = 1;
                 first = false;
-                labels_on[i].push_back(k);
+                under.emplace_back(i, k);
             }
         }
+        labels_on.build(n, [&](auto add) {
+            for (const auto& [i, k] : under) add(i, k);
+        });
         dfs();
     }
 
     /// Iterative Tarjan DFS keyed by edge id, so that parallel edges (two
     /// cut clusters joining the same pair of fragments) count as a cycle.
     void dfs() {
-        const std::size_t n = anchors.size();
+        const std::size_t n = is_port.size();
         disc.assign(n, kNone);
         end.assign(n, 0);
         low.assign(n, 0);
@@ -172,14 +198,14 @@ struct NetGraph {
                 disc[v] = low[v] = order.size();
                 order.push_back(v);
                 root[v] = s;
-                stack.emplace_back(v, adj_start[v]);
+                stack.emplace_back(v, adj.start[v]);
             };
             visit(s);
             while (!stack.empty()) {
                 const std::size_t v = stack.back().first;
                 std::size_t& it = stack.back().second;
-                if (it < adj_start[v + 1]) {
-                    const std::size_t id = adj[it++];
+                if (it < adj.start[v + 1]) {
+                    const std::size_t id = adj.items[it++];
                     if (id == parent_edge[v]) continue;
                     const std::size_t w = edges[id].other(v);
                     if (disc[w] == kNone) {
@@ -199,14 +225,10 @@ struct NetGraph {
             }
         }
 
-        child_start.assign(n + 1, 0);
-        for (std::size_t v = 0; v < n; ++v)
-            if (parent_edge[v] != kNone) ++child_start[parent(v) + 1];
-        for (std::size_t i = 0; i < n; ++i) child_start[i + 1] += child_start[i];
-        children.resize(child_start[n]);
-        std::vector<std::size_t> fill(child_start.begin(), child_start.end() - 1);
-        for (std::size_t v : order)
-            if (parent_edge[v] != kNone) children[fill[parent(v)]++] = v;
+        children.build(n, [&](auto add) {
+            for (std::size_t v : order)
+                if (parent_edge[v] != kNone) add(parent(v), v);
+        });
 
         term_prefix.assign(n + 1, 0);
         port_prefix.assign(n + 1, 0);
@@ -243,15 +265,14 @@ struct NetGraph {
     /// the rest of the tree.
     std::size_t component(std::size_t f, std::size_t x) const {
         if (disc[x] <= disc[f] || disc[x] >= end[f]) return kNone;
-        const auto first = children.begin() +
-                           static_cast<std::ptrdiff_t>(child_start[f]);
-        const auto last = children.begin() +
-                          static_cast<std::ptrdiff_t>(child_start[f + 1]);
-        const std::size_t c = *(std::upper_bound(first, last, disc[x],
-                                                 [&](std::size_t d, std::size_t v) {
-                                                     return d < disc[v];
-                                                 }) -
-                                1);
+        // The last child of f visited before x roots x's subtree.
+        const auto kids = children[f];
+        const std::size_t c =
+            *(std::upper_bound(kids.begin(), kids.end(), disc[x],
+                               [&](std::size_t d, std::size_t v) {
+                                   return d < disc[v];
+                               }) -
+              1);
         return separates(c, f) ? c : kNone;
     }
 
@@ -268,7 +289,7 @@ struct NetGraph {
     /// Append the terminals anchored in visit-order range [lo, hi), except
     /// on fragment `skip`.
     void append_range(std::size_t lo, std::size_t hi, std::size_t skip,
-                      std::vector<std::uint32_t>& out) const {
+                      std::vector<std::size_t>& out) const {
         for (std::size_t t = lo; t < hi; ++t)
             if (order[t] != skip)
                 out.insert(out.end(), anchors[order[t]].begin(),
@@ -276,14 +297,13 @@ struct NetGraph {
     }
     /// Append the terminals of a component of the net without `f`.
     void append_comp(std::size_t f, std::size_t c,
-                     std::vector<std::uint32_t>& out) const {
+                     std::vector<std::size_t>& out) const {
         if (c != kNone) {
             append_range(disc[c], end[c], kNone, out);
             return;
         }
         std::size_t t = disc[root[f]];
-        for (std::size_t k = child_start[f]; k < child_start[f + 1]; ++k) {
-            const std::size_t ch = children[k];
+        for (std::size_t ch : children[f]) {
             if (!separates(ch, f)) continue;
             append_range(t, disc[ch], f, out);
             t = end[ch];
@@ -292,12 +312,12 @@ struct NetGraph {
     }
 
     /// Terminal ranks -> the sorted, duplicate-free terminal list.
-    std::vector<TerminalRef> terminals(std::vector<std::uint32_t>& ranks) const {
+    std::vector<TerminalRef> terminals(std::vector<std::size_t>& ranks) const {
         std::sort(ranks.begin(), ranks.end());
         ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
         std::vector<TerminalRef> out;
         out.reserve(ranks.size());
-        for (std::uint32_t r : ranks) out.push_back(terms[r]);
+        for (std::size_t r : ranks) out.push_back(terms[r]);
         return out;
     }
 };
@@ -307,7 +327,7 @@ struct Attachment {
     Coord lo, hi;  ///< interval along the long axis
     enum class Kind { Frag, Terminal, Port } kind;
     std::size_t frag = 0;   // Kind::Frag: the attached fragment
-    std::uint32_t term = 0; // Kind::Terminal: rank in NetGraph::terms
+    std::size_t term = 0;   // Kind::Terminal: rank in NetGraph::terms
 };
 
 /// Merge-key for faults with identical electrical signature.  The
@@ -505,9 +525,8 @@ LiftResult extract_faults(const layout::Layout& lo,
 
         // Collect attachments.
         std::vector<Attachment> att;
-        for (std::size_t k = graph.adj_start[fi]; k < graph.adj_start[fi + 1];
-             ++k) {
-            const NetEdge& ed = graph.edges[graph.adj[k]];
+        for (std::size_t id : graph.adj[fi]) {
+            const NetEdge& ed = graph.edges[id];
             const std::size_t other = ed.other(fi);
             const Rect& where =
                 ed.cluster >= 0
@@ -620,7 +639,7 @@ LiftResult extract_faults(const layout::Layout& lo,
                 ++res.stats.dangling_opens;
                 continue;
             }
-            std::vector<std::uint32_t> group_b;
+            std::vector<std::size_t> group_b;
             const std::size_t k0 = b_is_low ? 0 : i + 1;
             const std::size_t k1 = b_is_low ? i + 1 : n_att;
             for (std::size_t k = k0; k < k1; ++k)
@@ -687,7 +706,7 @@ LiftResult extract_faults(const layout::Layout& lo,
             ++res.stats.dangling_opens;
             continue;
         }
-        std::vector<std::uint32_t> group_b;
+        std::vector<std::size_t> group_b;
         if (b_is_sub) {
             graph.append_range(graph.disc[child], graph.end[child], kNone,
                                group_b);
