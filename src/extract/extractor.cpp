@@ -153,8 +153,11 @@ Extraction extract(const Layout& lo, const Technology& tech,
     // Same-layer touching fragments.
     for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
         const Fragment& fi = ex.fragments[i];
-        for (std::size_t j : near(fi.rect, {fi.layer}))
-            if (j > i && fi.rect.touches(ex.fragments[j].rect)) uf.unite(i, j);
+        for (std::size_t j : near(fi.rect, {fi.layer})) {
+            if (j <= i || !fi.rect.touches(ex.fragments[j].rect)) continue;
+            uf.unite(i, j);
+            ex.touches.emplace_back(i, j);
+        }
     }
 
     // Cut stitches (and cluster bookkeeping).

@@ -28,6 +28,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace catlift::extract {
@@ -85,6 +86,9 @@ struct ExtractOptions {
 /// Full extraction result.
 struct Extraction {
     std::vector<Fragment> fragments;
+    /// Same-layer touching fragment pairs (a < b), in ascending order: with
+    /// `cuts`, the edges of each net's connectivity graph.
+    std::vector<std::pair<std::size_t, std::size_t>> touches;
     std::vector<CutCluster> cuts;
     std::vector<ExtractedMos> mosfets;
     std::vector<ExtractedCap> caps;

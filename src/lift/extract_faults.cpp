@@ -8,6 +8,7 @@
 #include <set>
 #include <span>
 #include <tuple>
+#include <unordered_map>
 
 namespace catlift::lift {
 
@@ -89,20 +90,9 @@ struct NetGraph {
     NetGraph(const Extraction& e, const layout::Layout& lo,
              std::vector<geom::SpatialIndex>& by_layer) {
         const std::size_t n = e.fragments.size();
-        auto near = [&](Layer l, const Rect& r) {
-            return by_layer[static_cast<std::size_t>(l)].query(r);
-        };
-
-        // Same-layer touching pairs within a net; i ascending and query
-        // results ascending give (a, b) order directly.
-        for (std::size_t i = 0; i < n; ++i) {
-            const Fragment& fa = e.fragments[i];
-            for (std::size_t j : near(fa.layer, fa.rect)) {
-                const Fragment& fb = e.fragments[j];
-                if (j > i && fa.net == fb.net && fa.rect.touches(fb.rect))
-                    edges.push_back(NetEdge{i, j, -1});
-            }
-        }
+        // Touching fragments share a net; the extraction lists the pairs
+        // in ascending order.
+        for (const auto& [a, b] : e.touches) edges.push_back(NetEdge{a, b, -1});
         n_touch = edges.size();
         for (std::size_t c = 0; c < e.cuts.size(); ++c)
             edges.push_back(
@@ -166,8 +156,9 @@ struct NetGraph {
         for (std::size_t k = 0; k < lo.labels.size(); ++k) {
             const layout::Label& lb = lo.labels[k];
             bool first = true;
+            const Rect at(lb.at.x, lb.at.y, lb.at.x, lb.at.y);
             for (std::size_t i :
-                 near(lb.layer, Rect(lb.at.x, lb.at.y, lb.at.x, lb.at.y))) {
+                 by_layer[static_cast<std::size_t>(lb.layer)].query(at)) {
                 if (!e.fragments[i].rect.contains(lb.at)) continue;
                 if (first) is_port[i] = 1;
                 first = false;
@@ -408,7 +399,10 @@ LiftResult extract_faults(const layout::Layout& lo,
         /// fault's mechanism label.
         std::map<std::string, double> by_mech;
     };
-    std::map<std::string, Merged> merged;  // key -> accumulated fault
+    // key -> accumulated fault.  Hashed: a split-node key lists every
+    // terminal it isolates, and ordered-map compares would re-read the
+    // long common prefixes of such keys; key order is restored below.
+    std::unordered_map<std::string, Merged> merged;
 
     ProbCache bridge_p, open_p, cut_p;
     auto accumulate = [&](Fault f) {
@@ -581,11 +575,13 @@ LiftResult extract_faults(const layout::Layout& lo,
             std::size_t comp, first, last;
         };
         std::vector<Reached> comps;
+        std::vector<std::size_t> comp_of(n_att);  // Frag attachment -> comps
         for (const auto& [c, k] : reach) {
             if (comps.empty() || comps.back().comp != c)
                 comps.push_back({c, k, k});
             else
                 comps.back().last = k;
+            comp_of[k] = comps.size() - 1;
         }
         // Per attachment index i: spans straddled, and side A's terminal
         // and port totals (direct ones plus components closed by i).
@@ -639,15 +635,20 @@ LiftResult extract_faults(const layout::Layout& lo,
                 ++res.stats.dangling_opens;
                 continue;
             }
+            // Side B's terminals: its direct ones, and each component once
+            // (at its first attachment on the high side, its last on the
+            // low side).
             std::vector<std::size_t> group_b;
             const std::size_t k0 = b_is_low ? 0 : i + 1;
             const std::size_t k1 = b_is_low ? i + 1 : n_att;
-            for (std::size_t k = k0; k < k1; ++k)
+            for (std::size_t k = k0; k < k1; ++k) {
                 if (att[k].kind == Attachment::Kind::Terminal)
                     group_b.push_back(att[k].term);
-            for (const Reached& r : comps)
-                if ((r.last <= i) == b_is_low)
+                if (att[k].kind != Attachment::Kind::Frag) continue;
+                const Reached& r = comps[comp_of[k]];
+                if (k == (b_is_low ? r.last : r.first))
                     graph.append_comp(fi, r.comp, group_b);
+            }
 
             Fault flt;
             flt.mechanism = mech->name;
@@ -733,7 +734,13 @@ LiftResult extract_faults(const layout::Layout& lo,
 
     // ---- Threshold, label, rank -------------------------------------------
     res.faults.circuit = lo.name;
-    for (auto& [key, m] : merged) {
+    std::vector<std::pair<const std::string*, Merged*>> by_key;
+    by_key.reserve(merged.size());
+    for (auto& [key, m] : merged) by_key.emplace_back(&key, &m);
+    std::sort(by_key.begin(), by_key.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    for (auto& [key, mp] : by_key) {
+        Merged& m = *mp;
         Fault& f = m.fault;
         if (f.probability < opt.p_min) {
             ++res.stats.dropped;
