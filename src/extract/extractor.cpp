@@ -83,10 +83,10 @@ Extraction extract(const Layout& lo, const Technology& tech,
                    const ExtractOptions& opt) {
     Extraction ex;
 
-    // Every geometric lookup below goes through a spatial index whose
-    // queries return candidate ids in ascending order: the candidate order
-    // of the old all-pairs scans, which fixes gate order, cluster
-    // representatives and terminal assignment.
+    // Every geometric lookup below goes through a spatial index.  Queries
+    // return candidate ids in ascending order, and that order matters: it
+    // fixes the gate order (and so the MX# names), each cut's
+    // representative fragments and the source/drain choice.
 
     // ---- 1. Gate regions -------------------------------------------------
     std::vector<GateRegion> gates;

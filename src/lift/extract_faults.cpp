@@ -8,7 +8,6 @@
 #include <set>
 #include <span>
 #include <tuple>
-#include <unordered_map>
 
 namespace catlift::lift {
 
@@ -327,32 +326,25 @@ struct Attachment {
 /// AnaFAULT; the merged fault carries the mechanism contributing the most
 /// probability as its label.
 std::string fault_key(const Fault& f) {
-    std::string k = to_string(f.kind);
-    k += '|';
-    auto add_term = [&k](const TerminalRef& t) {
-        k += t.device;
-        k += ':';
-        k += std::to_string(t.terminal);
-    };
+    std::string k = std::string(to_string(f.kind)) + "|";
     switch (f.kind) {
         case FaultKind::LocalShort:
-        case FaultKind::GlobalShort:
-            k += std::min(f.net_a, f.net_b);
-            k += '>';
-            k += std::max(f.net_a, f.net_b);
+        case FaultKind::GlobalShort: {
+            const auto& lo = std::min(f.net_a, f.net_b);
+            const auto& hi = std::max(f.net_a, f.net_b);
+            k += lo + ">" + hi;
             break;
+        }
         case FaultKind::LineOpen:
-        case FaultKind::SplitNode:
-            k += f.net;
-            k += '[';
-            for (const TerminalRef& t : f.group_b) {
-                add_term(t);
-                k += ',';
-            }
-            k += ']';
+        case FaultKind::SplitNode: {
+            k += f.net + "[";
+            for (const TerminalRef& t : f.group_b)
+                k += t.device + ":" + std::to_string(t.terminal) + ",";
+            k += "]";
             break;
+        }
         case FaultKind::StuckOpen:
-            add_term(f.victim);
+            k += f.victim.device + ":" + std::to_string(f.victim.terminal);
             break;
     }
     return k;
@@ -399,10 +391,7 @@ LiftResult extract_faults(const layout::Layout& lo,
         /// fault's mechanism label.
         std::map<std::string, double> by_mech;
     };
-    // key -> accumulated fault.  Hashed: a split-node key lists every
-    // terminal it isolates, and ordered-map compares would re-read the
-    // long common prefixes of such keys; key order is restored below.
-    std::unordered_map<std::string, Merged> merged;
+    std::map<std::string, Merged> merged;  // key -> accumulated fault
 
     ProbCache bridge_p, open_p, cut_p;
     auto accumulate = [&](Fault f) {
@@ -585,7 +574,7 @@ LiftResult extract_faults(const layout::Layout& lo,
         }
         // Per attachment index i: spans straddled, and side A's terminal
         // and port totals (direct ones plus components closed by i).
-        std::vector<long> straddle(n_att + 1, 0);
+        std::vector<long> straddle(n_att, 0);
         std::vector<std::size_t> terms_a(n_att, 0), ports_a(n_att, 0);
         for (const Reached& r : comps) {
             ++straddle[r.first];
@@ -734,13 +723,7 @@ LiftResult extract_faults(const layout::Layout& lo,
 
     // ---- Threshold, label, rank -------------------------------------------
     res.faults.circuit = lo.name;
-    std::vector<std::pair<const std::string*, Merged*>> by_key;
-    by_key.reserve(merged.size());
-    for (auto& [key, m] : merged) by_key.emplace_back(&key, &m);
-    std::sort(by_key.begin(), by_key.end(),
-              [](const auto& a, const auto& b) { return *a.first < *b.first; });
-    for (auto& [key, mp] : by_key) {
-        Merged& m = *mp;
+    for (auto& [key, m] : merged) {
         Fault& f = m.fault;
         if (f.probability < opt.p_min) {
             ++res.stats.dropped;
