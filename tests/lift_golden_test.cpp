@@ -105,7 +105,7 @@ std::string row(const Pin& p) {
     return buf;
 }
 
-// Recorded from the quadratic reference implementation of LIFT.
+// Recorded with the quadratic LIFT that the near-linear one replaced.
 const Pin kPins[] = {
     {"vco", 0x30e8f39559f85073ull, 0xb2194b317b2ff5deull, 888, 207, 130, 0, 4,
      142, "0x1.142c40e09052bp-21", 420, 15, 130, 26, 0x52b0d07221c0ee11ull},
