@@ -7,7 +7,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <tuple>
 
 namespace catlift::lift {
 
@@ -81,6 +80,9 @@ struct NetGraph {
     std::vector<std::size_t> disc, end, low, parent_edge, root, order;
     FlatLists children;  ///< DFS tree children, in visit order
     std::vector<std::size_t> term_prefix, port_prefix;  ///< over `order`
+    /// Terminal ranks by the visit order of their fragments: position t's
+    /// are by_order[term_prefix[t] .. term_prefix[t + 1]).
+    std::vector<std::size_t> by_order;
     /// Terminal/port totals of the children subtrees that removing the
     /// fragment separates from the rest of its tree.
     std::vector<std::size_t> sep_terms, sep_ports;
@@ -222,9 +224,12 @@ struct NetGraph {
 
         term_prefix.assign(n + 1, 0);
         port_prefix.assign(n + 1, 0);
+        by_order.clear();
         for (std::size_t t = 0; t < n; ++t) {
-            term_prefix[t + 1] = term_prefix[t] + anchors[order[t]].size();
+            const auto at = anchors[order[t]];
+            term_prefix[t + 1] = term_prefix[t] + at.size();
             port_prefix[t + 1] = port_prefix[t] + (is_port[order[t]] ? 1 : 0);
+            by_order.insert(by_order.end(), at.begin(), at.end());
         }
         sep_terms.assign(n, 0);
         sep_ports.assign(n, 0);
@@ -276,29 +281,30 @@ struct NetGraph {
         return ports_of(root[f]) - (is_port[f] ? 1 : 0) - sep_ports[f];
     }
 
-    /// Append the terminals anchored in visit-order range [lo, hi), except
-    /// on fragment `skip`.
-    void append_range(std::size_t lo, std::size_t hi, std::size_t skip,
+    /// Append the terminals anchored in visit-order range [lo, hi): one
+    /// slice of `by_order`, so the cost is the terminals appended.
+    void append_range(std::size_t lo, std::size_t hi,
                       std::vector<std::size_t>& out) const {
-        for (std::size_t t = lo; t < hi; ++t)
-            if (order[t] != skip)
-                out.insert(out.end(), anchors[order[t]].begin(),
-                           anchors[order[t]].end());
+        out.insert(out.end(), by_order.begin() + term_prefix[lo],
+                   by_order.begin() + term_prefix[hi]);
     }
-    /// Append the terminals of a component of the net without `f`.
+    /// Append the terminals of a component of the net without `f`.  The
+    /// rest of the tree is its range minus f and f's separated subtrees,
+    /// all of which follow f in the visit order.
     void append_comp(std::size_t f, std::size_t c,
                      std::vector<std::size_t>& out) const {
         if (c != kNone) {
-            append_range(disc[c], end[c], kNone, out);
+            append_range(disc[c], end[c], out);
             return;
         }
-        std::size_t t = disc[root[f]];
+        append_range(disc[root[f]], disc[f], out);
+        std::size_t t = disc[f] + 1;
         for (std::size_t ch : children[f]) {
             if (!separates(ch, f)) continue;
-            append_range(t, disc[ch], f, out);
+            append_range(t, disc[ch], out);
             t = end[ch];
         }
-        append_range(t, end[root[f]], f, out);
+        append_range(t, end[root[f]], out);
     }
 
     /// Terminal ranks -> the sorted, duplicate-free terminal list.
@@ -350,19 +356,6 @@ std::string fault_key(const Fault& f) {
     return k;
 }
 
-/// Site probabilities by (mechanism, two site dimensions).  A layout
-/// repeats cells, so most sites share their geometry with an earlier one
-/// and the critical-area integral is evaluated once per distinct site.
-using ProbCache = std::map<std::tuple<const Mechanism*, Coord, Coord>, double>;
-
-template <typename Eval>
-double cached(ProbCache& cache, const Mechanism* m, Coord a, Coord b,
-              Eval eval) {
-    auto [it, fresh] = cache.try_emplace({m, a, b}, 0.0);
-    if (fresh) it->second = eval();
-    return it->second;
-}
-
 } // namespace
 
 LiftResult extract_faults(const layout::Layout& lo,
@@ -393,7 +386,6 @@ LiftResult extract_faults(const layout::Layout& lo,
     };
     std::map<std::string, Merged> merged;  // key -> accumulated fault
 
-    ProbCache bridge_p, open_p, cut_p;
     auto accumulate = [&](Fault f) {
         auto [it, fresh] = merged.try_emplace(fault_key(f));
         it->second.by_mech[f.mechanism] += f.probability;
@@ -422,17 +414,19 @@ LiftResult extract_faults(const layout::Layout& lo,
         }
     };
 
-    // Net pairs sharing a device (ordered names): the fallback locality
-    // test for shorts when no net blocks are given.
+    // Net pairs sharing a device (ordered names, a <= b): the fallback
+    // locality test for shorts when no net blocks are given.  Two separate
+    // conductors can carry the same label, so (a, a) is listed for every
+    // net a device touches.
     std::set<std::pair<std::string, std::string>> device_pairs;
     if (opt.net_blocks.empty()) {
         for (const auto& d : ex.circuit.devices)
             for (const std::string& a : d.nodes)
                 for (const std::string& b : d.nodes)
-                    if (a < b) device_pairs.emplace(a, b);
+                    if (a <= b) device_pairs.emplace(a, b);
     }
 
-    // Classification helper for shorts (a < b).
+    // Classification helper for shorts (a <= b).
     auto short_kind = [&](const std::string& a, const std::string& b) {
         if (!opt.net_blocks.empty()) {
             auto ba = opt.net_blocks.find(a);
@@ -478,12 +472,9 @@ LiftResult extract_faults(const layout::Layout& lo,
                 f.net_b = ex.net_name(fb.net);
                 if (f.net_a > f.net_b) std::swap(f.net_a, f.net_b);
                 f.kind = short_kind(f.net_a, f.net_b);
-                f.probability =
-                    cached(bridge_p, mech, facing, spacing, [&] {
-                        return model.bridge_probability(
-                            *mech, static_cast<double>(facing),
-                            static_cast<double>(spacing));
-                    });
+                f.probability = model.bridge_probability(
+                    *mech, static_cast<double>(facing),
+                    static_cast<double>(spacing));
                 accumulate(std::move(f));
             }
         }
@@ -644,10 +635,8 @@ LiftResult extract_faults(const layout::Layout& lo,
             flt.net = ex.net_name(f.net);
             flt.group_b = graph.terminals(group_b);
             classify_open(flt);
-            flt.probability = cached(open_p, mech, gap, width, [&] {
-                return model.open_probability(*mech, static_cast<double>(gap),
-                                              static_cast<double>(width));
-            });
+            flt.probability = model.open_probability(
+                *mech, static_cast<double>(gap), static_cast<double>(width));
             accumulate(std::move(flt));
         }
     }
@@ -698,13 +687,10 @@ LiftResult extract_faults(const layout::Layout& lo,
         }
         std::vector<std::size_t> group_b;
         if (b_is_sub) {
-            graph.append_range(graph.disc[child], graph.end[child], kNone,
-                               group_b);
+            graph.append_range(graph.disc[child], graph.end[child], group_b);
         } else {
-            graph.append_range(graph.disc[top], graph.disc[child], kNone,
-                               group_b);
-            graph.append_range(graph.end[child], graph.end[top], kNone,
-                               group_b);
+            graph.append_range(graph.disc[top], graph.disc[child], group_b);
+            graph.append_range(graph.end[child], graph.end[top], group_b);
         }
 
         Fault flt;
@@ -712,12 +698,9 @@ LiftResult extract_faults(const layout::Layout& lo,
         flt.net = ex.net_name(ex.fragments[cc.frag_a].net);
         flt.group_b = graph.terminals(group_b);
         classify_open(flt);
-        flt.probability =
-            cached(cut_p, mech, cc.bbox.width(), cc.bbox.height(), [&] {
-                return model.cut_probability(
-                    *mech, static_cast<double>(cc.bbox.width()),
-                    static_cast<double>(cc.bbox.height()));
-            });
+        flt.probability = model.cut_probability(
+            *mech, static_cast<double>(cc.bbox.width()),
+            static_cast<double>(cc.bbox.height()));
         accumulate(std::move(flt));
     }
 

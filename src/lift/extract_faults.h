@@ -30,9 +30,9 @@
 // cluster opens its net iff its edge is a bridge.  Terminal and port
 // counts of either side are prefix-sum differences over the DFS order, and
 // the isolated terminal list is gathered only for the side that becomes
-// the fault.  Building the graph and the DFS cost O(fragments + edges);
-// each site costs O(attachments log attachments) plus the size of the
-// terminal list it emits.
+// the fault, as slices of the terminals laid out in DFS order.  Building
+// the graph and the DFS cost O(fragments + edges); each site costs
+// O(attachments log attachments) plus sorting the terminal list it emits.
 
 #pragma once
 

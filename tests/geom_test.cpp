@@ -156,6 +156,78 @@ TEST(SpatialIndex, RejectsBadCell) {
     EXPECT_THROW(g::SpatialIndex(0), catlift::Error);
 }
 
+TEST(SpatialIndex, LongRectReportedOnce) {
+    g::SpatialIndex idx(10);
+    idx.insert(4, g::Rect(0, 0, 1000, 5));     // covers 101 x 1 cells
+    idx.insert(2, g::Rect(0, 0, 5, 1000));     // covers 1 x 101 cells
+    idx.insert(9, g::Rect(600, 600, 610, 610));
+    EXPECT_EQ(idx.query(g::Rect(-20, -20, 500, 500)),
+              (std::vector<std::size_t>{2, 4}));
+    EXPECT_EQ(idx.query(g::Rect(300, 0, 700, 700)),
+              (std::vector<std::size_t>{4, 9}));
+}
+
+TEST(SpatialIndex, WindowPartlyOutsideBounds) {
+    g::SpatialIndex idx(50);
+    idx.insert(0, g::Rect(0, 0, 20, 20));
+    idx.insert(1, g::Rect(180, 180, 200, 200));
+    EXPECT_EQ(idx.query(g::Rect(-500, -500, 10, 10)),
+              (std::vector<std::size_t>{0}));
+    EXPECT_EQ(idx.query(g::Rect(190, -500, 900, 900)),
+              (std::vector<std::size_t>{1}));
+    EXPECT_EQ(idx.query(g::Rect(-900, -900, 900, 900)),
+              (std::vector<std::size_t>{0, 1}));
+    EXPECT_TRUE(idx.query(g::Rect(300, 300, 400, 400)).empty());
+    EXPECT_TRUE(idx.query(g::Rect(-400, 0, -300, 20)).empty());
+}
+
+TEST(SpatialIndex, InsertAfterQuery) {
+    g::SpatialIndex idx(100);
+    idx.insert(0, g::Rect(0, 0, 10, 10));
+    EXPECT_EQ(idx.query(g::Rect(0, 0, 1000, 1000)),
+              (std::vector<std::size_t>{0}));
+    // The new rect lies outside the bounds of the grid built for the query.
+    idx.insert(1, g::Rect(900, 900, 950, 950));
+    EXPECT_EQ(idx.query(g::Rect(0, 0, 1000, 1000)),
+              (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(idx.size(), 2u);
+}
+
+// Queries agree with a linear scan, on a layout dense enough for the
+// requested pitch and on one so sparse that the grid must be coarsened
+// (a 1 nm pitch over a 1e9 nm span).
+class SpatialIndexProperty : public ::testing::TestWithParam<g::Coord> {};
+
+TEST_P(SpatialIndexProperty, MatchesLinearScan) {
+    const g::Coord span = GetParam();
+    std::uint64_t s = 0x9E3779B97F4A7C15ull;
+    auto next = [&](g::Coord n) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<g::Coord>((s >> 17) % static_cast<std::uint64_t>(n));
+    };
+    auto random_rect = [&] {
+        const g::Coord x = next(span) - span / 2, y = next(span) - span / 2;
+        return g::Rect(x, y, x + next(span / 20 + 1), y + next(span / 20 + 1));
+    };
+    g::SpatialIndex idx(span == 1000000000 ? 1 : 50);
+    std::vector<g::Rect> rects;
+    for (std::size_t i = 0; i < 300; ++i) {
+        rects.push_back(random_rect());
+        idx.insert(i, rects.back());
+    }
+    for (int q = 0; q < 200; ++q) {
+        const g::Rect w = random_rect();
+        std::vector<std::size_t> want;
+        for (std::size_t i = 0; i < rects.size(); ++i)
+            if (rects[i].touches(w)) want.push_back(i);
+        EXPECT_EQ(idx.query(w), want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Spans, SpatialIndexProperty,
+                         ::testing::Values(g::Coord{2000},
+                                           g::Coord{1000000000}));
+
 // Property sweep: separation() is symmetric and consistent with expansion:
 // two rects are within distance d iff expanding one by d makes them touch.
 class SeparationProperty : public ::testing::TestWithParam<int> {};

@@ -1,9 +1,9 @@
 // LIFT open analysis on hand-built micro-layouts: spans and cut clusters
 // bypassed by a redundant path, and split nodes whose isolated side holds
-// several terminals.  Capacitors supply the terminals (their plates are
-// plain metal1-over-poly rectangles), labels supply the ports.  Every
-// layout has a control variant without the redundancy so each assertion
-// is seen to flip.
+// several terminals; and the shared-device test that classifies shorts when
+// no net blocks are given.  Capacitors supply the terminals (their plates
+// are plain metal1-over-poly rectangles), labels supply the ports.  Every
+// layout has a control variant so each assertion is seen to flip.
 
 #include "lift/extract_faults.h"
 
@@ -96,7 +96,47 @@ Layout split_node(bool bypass) {
     return lo;
 }
 
+/// C1's top plate on a metal1 rail labelled "a", and a second, separate
+/// metal1 rail 2 um away labelled `second`.  No device touches the second
+/// rail.
+Layout facing_rails(const std::string& second) {
+    Layout lo;
+    lo.name = "facing_rails";
+    add_cap(lo, "C1", Rect::um(0, 0, 10, 10), Rect::um(1, 1, 9, 9));
+    lo.add(Layer::Metal1, Rect::um(9, 2, 40, 4), "rail");
+    lo.add(Layer::Metal1, Rect::um(12, 6, 40, 8), "rail");
+    lo.add_label(Layer::Metal1, {geom::from_um(30), geom::from_um(3)}, "a");
+    lo.add_label(Layer::Metal1, {geom::from_um(30), geom::from_um(7)}, second);
+    return lo;
+}
+
+/// The shorts of a result, as "kind net_a net_b" strings.
+std::vector<std::string> shorts(const lift::LiftResult& r) {
+    std::vector<std::string> out;
+    for (const lift::Fault& f : r.faults.faults)
+        if (f.kind == lift::FaultKind::LocalShort ||
+            f.kind == lift::FaultKind::GlobalShort)
+            out.push_back(std::string(lift::to_string(f.kind)) + " " +
+                          f.net_a + " " + f.net_b);
+    return out;
+}
+
 } // namespace
+
+TEST(LiftShortKind, SameLabelConductorsShareTheDevice) {
+    const auto r = run(facing_rails("a"));
+    // Two nets, both named "a": C1 touches that name, so the bridge is
+    // local, as a bridge within one net name always was.
+    ASSERT_EQ(r.extraction.net_names.size(), 3u);
+    EXPECT_GE(r.stats.bridge_sites, 1u);
+    EXPECT_EQ(shorts(r), std::vector<std::string>{"local_short a a"});
+}
+
+TEST(LiftShortKind, DistinctLabelWithoutSharedDeviceIsGlobal) {
+    const auto r = run(facing_rails("b"));
+    EXPECT_GE(r.stats.bridge_sites, 1u);
+    EXPECT_EQ(shorts(r), std::vector<std::string>{"global_short a b"});
+}
 
 TEST(LiftRedundant, ParallelStrapsBypassEveryMetal1Span) {
     const auto r = run(metal1_loop(true));
